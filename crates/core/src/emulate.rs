@@ -27,6 +27,7 @@
 //! verifies this every cycle, so the schedule itself is machine-checked.
 //! Dimension 0 (the cross-edge, present everywhere) costs a single cycle.
 
+use crate::lanes::LaneSlab;
 use crate::ops::Monoid;
 use dc_simulator::{Machine, ScheduleKey};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
@@ -159,35 +160,61 @@ pub fn exchange_dim_sized<V: Clone + Send + Sync + 'static>(
 }
 
 /// Per-node state for **lane-batched** emulated dimension exchanges: K
-/// independent values in structure-of-arrays layout plus the two K-wide
-/// transit buffers the 3-cycle schedule needs.
-#[derive(Debug, Clone)]
-pub struct BatchedEmuState<V> {
+/// independent values, lane `k` belonging to instance `k`, plus the two
+/// K-wide transit buffers the 3-cycle schedule needs. Each slice is one
+/// field of the node's chunk of a [`batched_emu_slab`].
+#[derive(Debug)]
+pub struct BatchedEmuState<'a, V> {
     /// The node's K current values, lane `k` belonging to instance `k`.
-    pub values: Vec<V>,
-    fwd: Vec<V>,
-    partner: Vec<V>,
+    pub values: &'a mut [V],
+    fwd: &'a mut [V],
+    partner: &'a mut [V],
 }
 
-/// Builds a machine over the recursive presentation carrying K lanes per
-/// node: `values[r]` (length K) is placed on recursive node `r`.
-pub fn batched_emu_machine<'t, V: Clone>(
+/// Builds the lane slab a [`batched_emu_machine`] runs over from K
+/// instances (`instances[k][r]` is instance `k`'s value at recursive
+/// node `r`). Field 0 holds each node's K values; fields 1 and 2, the
+/// transit buffers, start as clones of `seed`.
+pub fn batched_emu_slab<V: Clone>(instances: &[Vec<V>], seed: &V) -> LaneSlab<V> {
+    let nodes = instances.first().map(Vec::len).unwrap_or(0);
+    for inst in instances {
+        assert_eq!(
+            inst.len(),
+            nodes,
+            "every instance must cover the same nodes"
+        );
+    }
+    LaneSlab::from_fn(
+        nodes,
+        3,
+        instances.len(),
+        |r| r,
+        |r, f, k| match f {
+            0 => instances[k][r].clone(),
+            _ => seed.clone(),
+        },
+    )
+}
+
+/// Builds a machine over the recursive presentation whose node `r`
+/// carries the K lanes of node `r` of `slab` (see [`batched_emu_slab`]).
+pub fn batched_emu_machine<'t, 's, V>(
     rec: &'t RecDualCube,
-    values: Vec<Vec<V>>,
-    seed: &V,
-) -> Machine<'t, RecDualCube, BatchedEmuState<V>> {
-    let lanes = values.first().map(Vec::len).unwrap_or(0);
+    slab: &'s mut LaneSlab<V>,
+) -> Machine<'t, RecDualCube, BatchedEmuState<'s, V>> {
+    assert_eq!(
+        slab.nodes(),
+        rec.num_nodes(),
+        "need one slab node per node of {}",
+        rec.name()
+    );
     Machine::new(
         rec,
-        values
-            .into_iter()
-            .map(|v| {
-                assert_eq!(v.len(), lanes, "every node must carry the same lane count");
-                BatchedEmuState {
-                    values: v,
-                    fwd: vec![seed.clone(); lanes],
-                    partner: vec![seed.clone(); lanes],
-                }
+        slab.views()
+            .map(|[values, fwd, partner]| BatchedEmuState {
+                values,
+                fwd,
+                partner,
             })
             .collect(),
     )
@@ -224,8 +251,8 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
             lanes,
             seed,
             |r, _| Some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.values),
-            |st, _, window| swap_into(&mut st.partner, window),
+            |_, st, window| window.clone_from_slice(st.values),
+            |st, _, window| swap_into(st.partner, window),
         );
     } else {
         // Cycle 1: linkless nodes hand their K values across dimension 0.
@@ -234,8 +261,8 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
             lanes,
             seed,
             |r, _| (!rec.has_direct_edge(r, j)).then_some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.values),
-            |st, _, window| swap_into(&mut st.fwd, window),
+            |_, st, window| window.clone_from_slice(st.values),
+            |st, _, window| swap_into(st.fwd, window),
         );
         // Cycle 2: linked nodes exchange (own, forwarded) along dimension
         // j — 2K lanes per message, own values first.
@@ -245,13 +272,13 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
             seed,
             |r, _| rec.has_direct_edge(r, j).then(|| r ^ (1usize << j)),
             |_, st, window| {
-                window[..lanes].clone_from_slice(&st.values);
-                window[lanes..].clone_from_slice(&st.fwd);
+                window[..lanes].clone_from_slice(st.values);
+                window[lanes..].clone_from_slice(st.fwd);
             },
             |st, _, window| {
                 let (own, fwd) = window.split_at_mut(lanes);
-                swap_into(&mut st.partner, own);
-                swap_into(&mut st.fwd, fwd);
+                swap_into(st.partner, own);
+                swap_into(st.fwd, fwd);
             },
         );
         // Cycle 3: forwarded values return across dimension 0.
@@ -260,13 +287,13 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
             lanes,
             seed,
             |r, _| rec.has_direct_edge(r, j).then_some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.fwd),
-            |st, _, window| swap_into(&mut st.partner, window),
+            |_, st, window| window.clone_from_slice(st.fwd),
+            |st, _, window| swap_into(st.partner, window),
         );
     }
     machine.compute(1, |r, st| {
-        for k in 0..st.values.len() {
-            st.values[k] = apply(r, &st.values[k], &st.partner[k]);
+        for (value, partner) in st.values.iter_mut().zip(st.partner.iter()) {
+            *value = apply(r, value, partner);
         }
     });
 }
@@ -414,16 +441,21 @@ mod tests {
         for n in 1..=3u32 {
             let rec = RecDualCube::new(n);
             for j in 0..rec.dims() {
-                let values: Vec<Vec<usize>> = (0..rec.num_nodes())
-                    .map(|r| (0..lanes).map(|k| r * 10 + k).collect())
+                let instances: Vec<Vec<usize>> = (0..lanes)
+                    .map(|k| (0..rec.num_nodes()).map(|r| r * 10 + k).collect())
                     .collect();
-                let mut m = batched_emu_machine(&rec, values, &0);
+                let mut slab = batched_emu_slab(&instances, &0);
+                let mut m = batched_emu_machine(&rec, &mut slab);
                 exchange_dim_lanes(&mut m, j, lanes, &0, |_, _, &p| p);
-                let (states, metrics) = m.into_parts();
-                for (r, st) in states.iter().enumerate() {
+                let (_, metrics) = m.into_parts();
+                for r in 0..rec.num_nodes() {
                     let partner = r ^ (1 << j);
                     for k in 0..lanes {
-                        assert_eq!(st.values[k], partner * 10 + k, "n={n} j={j} r={r} k={k}");
+                        assert_eq!(
+                            slab.field(r, 0)[k],
+                            partner * 10 + k,
+                            "n={n} j={j} r={r} k={k}"
+                        );
                     }
                 }
                 assert_eq!(metrics.comm_steps, dim_comm_cost(j), "n={n} j={j}");
@@ -443,8 +475,9 @@ mod tests {
             exchange_dim(&mut m, 2, |_, _, &p| p);
             m.into_parts().1.message_words
         };
-        let values: Vec<Vec<usize>> = (0..rec.num_nodes()).map(|r| vec![r; lanes]).collect();
-        let mut m = batched_emu_machine(&rec, values, &0);
+        let instances: Vec<Vec<usize>> = vec![(0..rec.num_nodes()).collect(); lanes];
+        let mut slab = batched_emu_slab(&instances, &0);
+        let mut m = batched_emu_machine(&rec, &mut slab);
         exchange_dim_lanes(&mut m, 2, lanes, &0, |_, _, &p| p);
         let metrics = m.into_parts().1;
         assert_eq!(metrics.message_words, single_words * lanes as u64);

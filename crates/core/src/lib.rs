@@ -41,6 +41,7 @@ pub mod collectives;
 pub mod emulate;
 pub mod emulate_mc;
 pub mod fault;
+pub mod lanes;
 pub mod model;
 pub mod ops;
 pub mod prefix;

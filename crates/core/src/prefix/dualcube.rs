@@ -34,6 +34,7 @@
 //!    of experiment E11. Both modes then fold `t′` in on the left at
 //!    class-1 nodes (1 comp).
 
+use crate::lanes::LaneSlab;
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
 use crate::run::{PhaseSnapshot, Recording};
@@ -249,20 +250,20 @@ pub fn d_prefix<M: Monoid>(
     }
 }
 
-/// Per-node state of [`batched_d_prefix`]: the five variables of
-/// Algorithm 2 in structure-of-arrays layout, lane `k` of every vector
-/// belonging to instance `k`.
-#[derive(Debug, Clone)]
-pub struct BatchedDPrefixState<M> {
+/// Per-node state of [`batched_d_prefix`]: the five K-wide variables of
+/// Algorithm 2, lane `k` of every slice belonging to instance `k`. Each
+/// slice is one field of the node's chunk of the run's [`LaneSlab`].
+#[derive(Debug)]
+pub struct BatchedDPrefixState<'a, M> {
     /// Cluster totals, one per lane.
-    pub t: Vec<M>,
+    pub t: &'a mut [M],
     /// Running prefixes, one per lane; the final answers after step 5.
-    pub s: Vec<M>,
+    pub s: &'a mut [M],
     /// Step-3 totals `t′`, one per lane.
-    pub t2: Vec<M>,
+    pub t2: &'a mut [M],
     /// Step-3 diminished prefixes `s′`, one per lane.
-    pub s2: Vec<M>,
-    temp: Vec<M>,
+    pub s2: &'a mut [M],
+    temp: &'a mut [M],
 }
 
 /// Result of a [`batched_d_prefix`] run.
@@ -326,25 +327,20 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             d.name()
         );
     }
-    let states: Vec<BatchedDPrefixState<M>> = (0..d.num_nodes())
-        .map(|u| {
-            let c: Vec<M> = inputs
-                .iter()
-                .map(|inp| inp[d.linear_index(u)].clone())
-                .collect();
-            BatchedDPrefixState {
-                s: c.iter()
-                    .map(|c| match kind {
-                        PrefixKind::Inclusive => c.clone(),
-                        PrefixKind::Diminished => M::identity(),
-                    })
-                    .collect(),
-                t: c,
-                t2: vec![M::identity(); lanes],
-                s2: vec![M::identity(); lanes],
-                temp: vec![M::identity(); lanes],
-            }
-        })
+    // Slab fields, in view order: t, s, t′, s′, temp.
+    let mut slab = LaneSlab::from_fn(
+        d.num_nodes(),
+        5,
+        lanes,
+        |u| d.linear_index(u),
+        |i, f, k| match (f, kind) {
+            (0, _) | (1, PrefixKind::Inclusive) => inputs[k][i].clone(),
+            _ => M::identity(),
+        },
+    );
+    let states: Vec<BatchedDPrefixState<M>> = slab
+        .views()
+        .map(|[t, s, t2, s2, temp]| BatchedDPrefixState { t, s, t2, s2, temp })
         .collect();
     let mut machine = Machine::with_exec(d, states, exec);
     machine.adopt_schedules(bank);
@@ -363,7 +359,7 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
         lanes,
         &seed,
         |u, _| Some(d.cross_neighbor(u)),
-        |_, st, window| window.clone_from_slice(&st.t),
+        |_, st, window| window.clone_from_slice(st.t),
         |st, _, window| {
             for (t, w) in st.temp.iter_mut().zip(window) {
                 std::mem::swap(t, w);
@@ -371,10 +367,8 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
         },
     );
     machine.setup(|_, st| {
-        for k in 0..st.t2.len() {
-            st.t2[k] = std::mem::replace(&mut st.temp[k], M::identity());
-            st.s2[k] = M::identity();
-        }
+        st.t2.swap_with_slice(st.temp);
+        st.s2.fill_with(M::identity);
     });
 
     // Step 3: diminished Cube_prefix over the received totals.
@@ -390,7 +384,7 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
         lanes,
         &seed,
         |u, _| Some(d.cross_neighbor(u)),
-        |_, st, window| window.clone_from_slice(&st.s2),
+        |_, st, window| window.clone_from_slice(st.s2),
         |st, _, window| {
             for (t, w) in st.temp.iter_mut().zip(window) {
                 std::mem::swap(t, w);
@@ -398,9 +392,8 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
         },
     );
     machine.compute(1, |_, st| {
-        for k in 0..st.s.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            st.s[k] = temp.combine(&st.s[k]);
+        for (s, temp) in st.s.iter_mut().zip(st.temp.iter()) {
+            *s = temp.combine(s);
         }
     });
 
@@ -412,7 +405,7 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             lanes,
             &seed,
             |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
-            |_, st, window| window.clone_from_slice(&st.t2),
+            |_, st, window| window.clone_from_slice(st.t2),
             // Delivered values are the receiver's own class's grand
             // totals — discarded, as in the single-lane run.
             |_, _, _| {},
@@ -420,28 +413,16 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     }
     machine.compute(1, |u, st| {
         if d.class_of(u) == Class::One {
-            for k in 0..st.s.len() {
-                st.s[k] = st.t2[k].combine(&st.s[k]);
+            for (s, t2) in st.s.iter_mut().zip(st.t2.iter()) {
+                *s = t2.combine(s);
             }
         }
     });
 
     machine.donate_schedules(bank);
-    let (states, metrics) = machine.into_parts();
-    let mut prefixes = vec![Vec::new(); lanes];
-    for p in &mut prefixes {
-        p.resize(states.len(), None);
-    }
-    for (u, st) in states.into_iter().enumerate() {
-        for (k, s) in st.s.into_iter().enumerate() {
-            prefixes[k][d.linear_index(u)] = Some(s);
-        }
-    }
+    let (_, metrics) = machine.into_parts();
     BatchedDPrefixRun {
-        prefixes: prefixes
-            .into_iter()
-            .map(|p| p.into_iter().map(|s| s.expect("bijection")).collect())
-            .collect(),
+        prefixes: slab.take_lanes(1, |i| d.from_linear_index(i), M::identity),
         metrics,
     }
 }
@@ -463,8 +444,8 @@ fn batched_cluster_ascend_round<M: Monoid>(
         |u, _| Some(d.cluster_neighbor(u, i)),
         move |_, st, window| {
             window.clone_from_slice(match vars {
-                ScanVars::Step1 => &st.t,
-                ScanVars::Step3 => &st.t2,
+                ScanVars::Step1 => st.t,
+                ScanVars::Step3 => st.t2,
             })
         },
         |st, _, window| {
@@ -479,13 +460,14 @@ fn batched_cluster_ascend_round<M: Monoid>(
             ScanVars::Step1 => (&mut st.t, &mut st.s),
             ScanVars::Step3 => (&mut st.t2, &mut st.s2),
         };
-        for k in 0..t.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            if high_side {
-                t[k] = temp.combine(&t[k]);
-                s[k] = temp.combine(&s[k]);
-            } else {
-                t[k] = t[k].combine(&temp);
+        if high_side {
+            for ((t, s), temp) in t.iter_mut().zip(s.iter_mut()).zip(st.temp.iter()) {
+                *t = temp.combine(t);
+                *s = temp.combine(s);
+            }
+        } else {
+            for (t, temp) in t.iter_mut().zip(st.temp.iter()) {
+                *t = t.combine(temp);
             }
         }
     });

@@ -13,6 +13,7 @@
 //!
 //! Cost: `m` communication steps and `m` computation steps.
 
+use crate::lanes::LaneSlab;
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
 use crate::run::{PhaseSnapshot, Recording};
@@ -114,17 +115,17 @@ pub fn cube_prefix<M: Monoid>(
     }
 }
 
-/// Per-node state of [`batched_cube_prefix`]: K independent instances in
-/// structure-of-arrays layout — lane `k` of every vector belongs to
-/// instance `k`.
-#[derive(Debug, Clone)]
-pub struct BatchedCubeState<M> {
+/// Per-node state of [`batched_cube_prefix`]: K independent instances,
+/// lane `k` of every slice belonging to instance `k`. Each slice is one
+/// field of the node's chunk of the run's [`LaneSlab`].
+#[derive(Debug)]
+pub struct BatchedCubeState<'a, M> {
     /// Running subcube totals, one per lane.
-    pub t: Vec<M>,
+    pub t: &'a mut [M],
     /// Running subcube prefixes, one per lane.
-    pub s: Vec<M>,
+    pub s: &'a mut [M],
     /// Landing buffer for the partner's totals (K wide).
-    temp: Vec<M>,
+    temp: &'a mut [M],
 }
 
 /// Result of a [`batched_cube_prefix`] run.
@@ -178,18 +179,20 @@ pub fn batched_cube_prefix<M: Monoid>(
             q.name()
         );
     }
-    let states: Vec<BatchedCubeState<M>> = (0..q.num_nodes())
-        .map(|u| BatchedCubeState {
-            t: inputs.iter().map(|inp| inp[u].clone()).collect(),
-            s: inputs
-                .iter()
-                .map(|inp| match kind {
-                    PrefixKind::Inclusive => inp[u].clone(),
-                    PrefixKind::Diminished => M::identity(),
-                })
-                .collect(),
-            temp: vec![M::identity(); lanes],
-        })
+    // Slab fields, in view order: t, s, temp.
+    let mut slab = LaneSlab::from_fn(
+        q.num_nodes(),
+        3,
+        lanes,
+        |u| u,
+        |u, f, k| match (f, kind) {
+            (0, _) | (1, PrefixKind::Inclusive) => inputs[k][u].clone(),
+            _ => M::identity(),
+        },
+    );
+    let states: Vec<BatchedCubeState<M>> = slab
+        .views()
+        .map(|[t, s, temp]| BatchedCubeState { t, s, temp })
         .collect();
     let mut machine = Machine::new(q, states);
     let seed = M::identity();
@@ -197,14 +200,9 @@ pub fn batched_cube_prefix<M: Monoid>(
         machine.begin_phase(format!("dimension {i}"));
         batched_ascend_round(&mut machine, i, lanes, &seed);
     }
-    let (states, metrics) = machine.into_parts();
-    let totals = states[0].t.clone();
-    let mut prefixes = vec![Vec::with_capacity(q.num_nodes()); lanes];
-    for st in states {
-        for (k, s) in st.s.into_iter().enumerate() {
-            prefixes[k].push(s);
-        }
-    }
+    let (_, metrics) = machine.into_parts();
+    let totals = slab.field(0, 0).to_vec();
+    let prefixes = slab.take_lanes(1, |u| u, M::identity);
     BatchedCubePrefixRun {
         prefixes,
         totals,
@@ -225,7 +223,7 @@ fn batched_ascend_round<M: Monoid>(
         lanes,
         seed,
         |u, _| Some(u ^ (1usize << i)),
-        |_, st, window| window.clone_from_slice(&st.t),
+        |_, st, window| window.clone_from_slice(st.t),
         |st, _, window| {
             for (t, w) in st.temp.iter_mut().zip(window) {
                 std::mem::swap(t, w);
@@ -233,14 +231,14 @@ fn batched_ascend_round<M: Monoid>(
         },
     );
     machine.compute(1, |u, st| {
-        let high = bit(u, i);
-        for k in 0..st.t.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            if high {
-                st.t[k] = temp.combine(&st.t[k]);
-                st.s[k] = temp.combine(&st.s[k]);
-            } else {
-                st.t[k] = st.t[k].combine(&temp);
+        if bit(u, i) {
+            for ((t, s), temp) in st.t.iter_mut().zip(st.s.iter_mut()).zip(st.temp.iter()) {
+                *t = temp.combine(t);
+                *s = temp.combine(s);
+            }
+        } else {
+            for (t, temp) in st.t.iter_mut().zip(st.temp.iter()) {
+                *t = t.combine(temp);
             }
         }
     });

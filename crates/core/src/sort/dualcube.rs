@@ -38,7 +38,8 @@
 //! comparison steps exactly (within the theorem's `6n²`/`2n²`).
 
 use crate::emulate::{
-    batched_emu_machine, emu_machine, exchange_dim, exchange_dim_lanes, BatchedEmuState, EmuState,
+    batched_emu_machine, batched_emu_slab, emu_machine, exchange_dim, exchange_dim_lanes,
+    BatchedEmuState, EmuState,
 };
 use crate::run::{PhaseSnapshot, Recording, Run};
 use crate::sort::SortOrder;
@@ -212,10 +213,8 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     }
     let n = rec.n();
     let seed = keys[0][0].clone();
-    let values: Vec<Vec<K>> = (0..rec.num_nodes())
-        .map(|r| keys.iter().map(|inst| inst[r].clone()).collect())
-        .collect();
-    let mut machine = batched_emu_machine(rec, values, &seed);
+    let mut slab = batched_emu_slab(keys, &seed);
+    let mut machine = batched_emu_machine(rec, &mut slab);
     machine.set_exec(exec);
     machine.adopt_schedules(bank);
 
@@ -244,14 +243,11 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     }
 
     machine.donate_schedules(bank);
-    let (states, metrics) = machine.into_parts();
-    let mut outputs = vec![Vec::with_capacity(rec.num_nodes()); lanes];
-    for st in states {
-        for (k, v) in st.values.into_iter().enumerate() {
-            outputs[k].push(v);
-        }
+    let (_, metrics) = machine.into_parts();
+    BatchedSortRun {
+        outputs: slab.take_lanes(0, |r| r, || seed.clone()),
+        metrics,
     }
-    BatchedSortRun { outputs, metrics }
 }
 
 /// Lane-batched [`compare_round`]: the same emulated dimension-`j`
